@@ -5,19 +5,25 @@ maximum-sized densest subgraphs of sampled worlds, items are graph nodes,
 and the top-k closed node sets of size >= ``l_m`` with the highest supports
 are exactly the top-k NDS estimates.
 
-The miner is a vertical-format (tidset) depth-first search in the style of
-CHARM, with the two signature ingredients of TFP:
+The miner is a tidset depth-first search with the two signature ingredients
+of TFP: every explored itemset is extended to its *closure* (all items its
+supporting transactions share), and a bounded top-k pool of closed itemsets
+of length >= ``l_m`` *raises the minimum support* as it fills, pruning the
+search.  Duplicate transactions are merged up-front with counts; a support
+sums the counts in ascending tid order, memoised per tidset.
 
-* closedness by *closure*: every explored itemset is extended to its
-  closure (all items shared by its supporting transactions), so only closed
-  itemsets are generated;
-* *dynamic support raising*: a bounded top-k pool of closed itemsets of
-  length >= ``l_m`` raises the minimum support as it fills, pruning the
-  search (support is anti-monotone).
-
-Transactions may repeat; they are deduplicated up-front with counts, so the
-tidsets range over distinct transactions and supports are weighted.
-A brute-force oracle (:func:`naive_closed_itemsets`) backs the tests.
+The search walks *item classes* in the transaction-space bitset form of
+Eclat/CHARM (Zaki 2000/2002).  Items with equal tidsets form one class, and
+classes are numbered by their first item under (support, repr).  Each
+transaction keeps a bitset of the classes it contains, so a closure is the
+AND of those bitsets over the tidset.  Candidates are the bits of
+``~closure`` above the core class, and LCM's prefix-preserving test (Uno et
+al. 2004) is one mask test.  This yields the closed sets of an item-by-item
+walk in the same order, because that walk's prefix test always rejects a
+class member after the first: its closure gains the earlier first member.
+So the pool sees the same offers, and the top-k, ties included, is the
+same.  The item-wise miner is kept as a differential oracle in
+``tests/oracles/tfp_itemwise.py``, with :func:`naive_closed_itemsets`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 Item = Hashable
 Itemset = FrozenSet[Item]
@@ -51,6 +59,9 @@ def _deduplicate(
             if key:
                 counts[key] = counts.get(key, 0.0) + 1.0
     else:
+        transactions = list(transactions)
+        if len(transactions) != len(weights):
+            raise ValueError("weights must be parallel to transactions")
         for transaction, weight in zip(transactions, weights):
             key = frozenset(transaction)
             if key:
@@ -60,15 +71,15 @@ def _deduplicate(
 
 
 class _TopKPool:
-    """Bounded pool of the k best (support, itemset) pairs seen so far."""
+    """Bounded pool of the k best (support, closure key) pairs seen so far."""
 
     def __init__(self, k: int) -> None:
         self._k = k
-        self._heap: List[Tuple[float, int, Itemset]] = []
+        self._heap: List[Tuple[float, int, int]] = []
         self._tiebreak = itertools.count()
 
-    def offer(self, itemset: Itemset, support: float) -> None:
-        entry = (support, next(self._tiebreak), itemset)
+    def offer(self, key: int, support: float) -> None:
+        entry = (support, next(self._tiebreak), key)
         if len(self._heap) < self._k:
             heapq.heappush(self._heap, entry)
         elif support > self._heap[0][0]:
@@ -80,9 +91,10 @@ class _TopKPool:
             return 0.0
         return self._heap[0][0]
 
-    def results(self) -> List[ClosedItemset]:
-        ordered = sorted(self._heap, key=lambda e: (-e[0], sorted(map(repr, e[2]))))
-        return [ClosedItemset(items, support) for support, _, items in ordered]
+    def results(self, items_of: Callable[[int], Itemset]) -> List[ClosedItemset]:
+        found = [(support, items_of(key)) for support, _, key in self._heap]
+        found.sort(key=lambda e: (-e[0], sorted(map(repr, e[1]))))
+        return [ClosedItemset(items, support) for support, items in found]
 
 
 def top_k_closed_itemsets(
@@ -112,59 +124,77 @@ def top_k_closed_itemsets(
         for item in transaction:
             tid_of_item[item] = tid_of_item.get(item, 0) | bit
 
+    supports: Dict[int, float] = {}
+
     def support_of(mask: int) -> float:
-        total = 0.0
-        tid = 0
-        while mask:
-            if mask & 1:
-                total += counts[tid]
-            mask >>= 1
-            tid += 1
+        total = supports.get(mask)
+        if total is None:
+            total, rest = 0.0, mask
+            while rest:
+                low = rest & -rest
+                total += counts[low.bit_length() - 1]
+                rest ^= low
+            supports[mask] = total
         return total
 
-    full_mask = (1 << len(uniques)) - 1
+    # item classes (equal tidsets), numbered by first item in search order
     items = sorted(tid_of_item, key=lambda it: (support_of(tid_of_item[it]), repr(it)))
-    order = {item: position for position, item in enumerate(items)}
+    class_size: Dict[int, int] = {}
+    for item in items:
+        class_size[tid_of_item[item]] = class_size.get(tid_of_item[item], 0) + 1
+    class_masks, sizes = list(class_size), list(class_size.values())
+    class_bit = {mask: 1 << cls for cls, mask in enumerate(class_masks)}
+    all_classes = (1 << len(class_masks)) - 1
+    # transaction space: tid -> bitset of the classes it contains
+    classes_of_tid = [0] * len(uniques)
+    for tid, transaction in enumerate(uniques):
+        for item in transaction:
+            classes_of_tid[tid] |= class_bit[tid_of_item[item]]
     pool = _TopKPool(k)
 
-    def closure_of(mask: int) -> Itemset:
-        return frozenset(
-            item for item, item_mask in tid_of_item.items()
-            if mask & ~item_mask == 0
-        )
+    def closure_of(mask: int) -> int:
+        closure = all_classes
+        while mask:
+            low = mask & -mask
+            closure &= classes_of_tid[low.bit_length() - 1]
+            mask ^= low
+        return closure
 
-    def explore(current_mask: int, closure: Itemset, core_position: int) -> None:
+    def length_of(classes: int) -> int:
+        length = 0
+        while classes:
+            low = classes & -classes
+            length += sizes[low.bit_length() - 1]
+            classes ^= low
+        return length
+
+    def explore(mask: int, closure: int, length: int, above: int) -> None:
         """LCM-style DFS: each closed itemset is generated exactly once.
 
-        An extension by item ``i`` (with order > ``core_position``) is kept
-        only if it is *prefix-preserving*: the new closure must not acquire
-        any item ordered before ``i`` that the old closure lacked (Uno et
-        al.'s ppc-extension); this makes the search tree a spanning tree of
-        the closed-itemset lattice.
+        A class ``c`` in ``above`` extends it only if the new closure gains
+        no class below ``c`` (Uno et al.'s prefix-preserving extension).
         """
-        if len(closure) >= min_length:
-            pool.offer(closure, support_of(current_mask))
-        for position in range(core_position + 1, len(items)):
-            item = items[position]
-            if item in closure:
-                continue
-            new_mask = current_mask & tid_of_item[item]
-            if not new_mask:
-                continue
-            support = support_of(new_mask)
-            if support < pool.min_support():
+        if length >= min_length:
+            pool.offer(closure, support_of(mask))
+        threshold = pool.min_support()
+        candidates = (all_classes ^ closure) & above
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            new_mask = mask & class_masks[low.bit_length() - 1]
+            if not new_mask or support_of(new_mask) < threshold:
                 continue  # TFP support raising: cannot enter the top-k
             new_closure = closure_of(new_mask)
-            prefix_ok = all(
-                other in closure
-                for other in new_closure
-                if order[other] < position
-            )
-            if prefix_ok:
-                explore(new_mask, new_closure, position)
+            gained = new_closure & ~closure
+            if gained & (low - 1) == 0:
+                explore(new_mask, new_closure, length + length_of(gained), -(low << 1))
+                threshold = pool.min_support()
 
-    explore(full_mask, closure_of(full_mask), -1)
-    return pool.results()
+    root = closure_of((1 << len(uniques)) - 1)
+    explore((1 << len(uniques)) - 1, root, length_of(root), all_classes)
+    return pool.results(lambda closure: frozenset(
+        item for item, mask in tid_of_item.items() if closure & class_bit[mask]
+    ))
 
 
 def all_closed_itemsets(
@@ -176,11 +206,11 @@ def all_closed_itemsets(
 
     Convenience wrapper used by analyses that need the full closed lattice
     (e.g. the l_m sensitivity sweep of Fig. 20); equivalent to asking for a
-    huge k.
+    huge k.  The transactions are read once, so a generator works.
     """
-    uniques, _ = _deduplicate(transactions, weights)
+    uniques, counts = _deduplicate(transactions, weights)
     bound = 1 << min(len(uniques), 60)
-    return top_k_closed_itemsets(transactions, bound, min_length, weights)
+    return top_k_closed_itemsets(uniques, bound, min_length, counts)
 
 
 def naive_closed_itemsets(

@@ -14,6 +14,8 @@ from repro.itemsets.tfp import (
     top_k_closed_itemsets,
 )
 
+from .oracles import tfp_itemwise
+
 
 class TestBasics:
     def test_empty_database(self):
@@ -66,6 +68,26 @@ class TestBasics:
             top_k_closed_itemsets([["a"]], 0)
         with pytest.raises(ValueError):
             top_k_closed_itemsets([["a"]], 1, min_length=0)
+
+    def test_all_closed_itemsets_reads_a_generator_once(self):
+        transactions = [["a", "b", "c"], ["a", "b"], ["a", "c"], ["a"]]
+        from_list = all_closed_itemsets(transactions, weights=[1, 2, 3, 4])
+        from_generator = all_closed_itemsets(
+            (t for t in transactions), weights=[1, 2, 3, 4]
+        )
+        assert from_generator == from_list
+        assert len(from_list) == 4
+        assert all_closed_itemsets(iter(t) for t in transactions) == (
+            all_closed_itemsets(transactions)
+        )
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_weights_must_be_parallel(self, weights):
+        transactions = [["a", "b"]] * 3
+        with pytest.raises(ValueError, match="parallel"):
+            top_k_closed_itemsets(transactions, 2, weights=weights)
+        with pytest.raises(ValueError, match="parallel"):
+            all_closed_itemsets(transactions, weights=weights)
 
 
 class TestAgainstOracle:
@@ -142,3 +164,85 @@ class TestClosednessInvariants:
                     c for c in mined if frozenset(transaction) <= c
                 ]
                 assert closure_members, transaction
+
+
+def _as_bytes(mined):
+    """Everything a caller can observe: items in order, support repr, rank."""
+    return [(list(c.items), repr(c.support)) for c in mined]
+
+
+def _assert_same_as_itemwise(transactions, k, min_length, weights=None):
+    mined = top_k_closed_itemsets(transactions, k, min_length, weights)
+    reference = tfp_itemwise.top_k_closed_itemsets(
+        transactions, k, min_length, weights
+    )
+    assert _as_bytes(mined) == _as_bytes(reference)
+    return mined
+
+
+RSS_WEIGHTS = (1 / 3, 0.1, 1e-9, 0.7, 2.5, 1.0)
+
+
+class TestItemwiseDifferential:
+    """The class-wise miner against the item-wise one it replaced."""
+
+    def test_random_databases(self, rng):
+        for _ in range(300):
+            n_items = rng.randint(1, 9)
+            transactions = [
+                rng.sample(range(n_items), rng.randint(0, n_items))
+                for _ in range(rng.randint(1, 12))
+            ]
+            weights = [rng.choice(RSS_WEIGHTS) for _ in transactions]
+            k, min_length = rng.randint(1, 12), rng.randint(1, 4)
+            _assert_same_as_itemwise(transactions, k, min_length)
+            _assert_same_as_itemwise(transactions, k, min_length, weights)
+
+    def test_tie_heavy_pool(self):
+        # every pair {i, i+1} sits in exactly two transactions, so the pool
+        # fills with equal supports and offers tie at the threshold
+        transactions = [[i, (i + 1) % 8] for i in range(8)] * 2
+        transactions += [[i, i + 8, i + 16] for i in range(8)]
+        for k in (1, 3, 5, 8, 9, 20):
+            for min_length in (1, 2, 3):
+                _assert_same_as_itemwise(transactions, k, min_length)
+                _assert_same_as_itemwise(
+                    transactions, k, min_length, [0.1] * len(transactions)
+                )
+
+    def test_k_larger_than_closed_set_count(self, rng):
+        transactions = [rng.sample(range(6), 3) for _ in range(7)]
+        closed = naive_closed_itemsets(transactions)
+        mined = _assert_same_as_itemwise(transactions, len(closed) + 10, 1)
+        assert len(mined) == len(closed)
+
+    def test_bench_shaped_database(self, rng):
+        # the shape of a warm NDS query on the 500-node bench graph: a dozen
+        # distinct densest subgraphs of 200-280 nodes over ~430 nodes, with
+        # a shared core so many nodes share a tidset
+        core = rng.sample(range(430), 160)
+        transactions = []
+        for _ in range(12):
+            size = rng.randint(200, 280)
+            kept = rng.sample(core, rng.randint(120, 160))
+            rest = sorted(set(range(430)) - set(kept))
+            transactions.append(kept + rng.sample(rest, size - len(kept)))
+        weights = [rng.choice(RSS_WEIGHTS) for _ in transactions]
+        for k, min_length in ((5, 3), (10, 2), (3, 4)):
+            _assert_same_as_itemwise(transactions, k, min_length)
+            _assert_same_as_itemwise(transactions, k, min_length, weights)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 6), max_size=6), min_size=1, max_size=9,
+        ),
+        st.integers(1, 10),
+        st.integers(1, 3),
+        st.lists(st.sampled_from(RSS_WEIGHTS), min_size=9, max_size=9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, transactions, k, min_length, weights):
+        _assert_same_as_itemwise(transactions, k, min_length)
+        _assert_same_as_itemwise(
+            transactions, k, min_length, weights[: len(transactions)]
+        )
